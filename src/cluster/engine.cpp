@@ -6,13 +6,13 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "cluster/digest_codec.hpp"
+#include "cluster/tick_ring.hpp"
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -125,37 +125,9 @@ struct BufferSink final : obs::RecordSink {
   std::vector<obs::Record> records;
 };
 
-/// Suspicion-deadline wheel over check ticks: a ring for the near future
-/// (detector timeouts span a handful of ticks) with a far-map fallback,
-/// replacing the old per-tick unordered_map buckets. push() is an
-/// amortized O(1) vector append into the tick's slot.
-class EvalWheel {
- public:
-  void push(std::int64_t current_tick, std::int64_t tick,
-            std::uint64_t key) {
-    // Slot reuse is safe up to a full revolution: tick <= current + kSlots
-    // lands in a slot that cannot be drained again before `tick`.
-    if (tick - current_tick <= kSlots) {
-      ring_[static_cast<std::size_t>(tick & (kSlots - 1))].push_back(key);
-    } else {
-      far_[tick].push_back(key);
-    }
-  }
-
-  void drain(std::int64_t tick, std::vector<std::uint64_t>& out) {
-    out.swap(ring_[static_cast<std::size_t>(tick & (kSlots - 1))]);
-    const auto it = far_.find(tick);
-    if (it != far_.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-      far_.erase(it);
-    }
-  }
-
- private:
-  static constexpr std::int64_t kSlots = 512;  // power of two
-  std::array<std::vector<std::uint64_t>, kSlots> ring_;
-  std::map<std::int64_t, std::vector<std::uint64_t>> far_;
-};
+/// Delivery-bucket ring size: lookahead spans stay within one
+/// revolution.
+constexpr std::int64_t kBucketSlots = 256;
 
 /// Coordinator-side record of one fault a shard found effective; shard 0
 /// stages these so the coordinator can do the cluster-global bookkeeping
@@ -187,14 +159,18 @@ struct ShardState {
 
   std::int64_t check_tick = 0;
   std::size_t fault_cursor = 0;
-  EvalWheel wheel;
+  /// Suspicion-deadline wheel over check ticks: pair keys due for
+  /// re-evaluation (detector timeouts span a handful of ticks; later
+  /// deadlines spill into the ring's far map).
+  TickRing<std::uint64_t, 512> wheel;
 
   // Message plumbing: per-destination-shard outboxes filled during the
-  // window, and delivery buckets keyed by barrier index (ring + far map).
+  // window, delivery buckets keyed by barrier index, and the reusable
+  // vector one bucket is drained into for the merge-order sort.
   std::vector<std::uint32_t> send_seq;
   std::vector<std::vector<Message>> outbox;
-  std::vector<std::vector<Message>> buckets;
-  std::map<std::int64_t, std::vector<Message>> far_buckets;
+  TickRing<Message, kBucketSlots> buckets;
+  std::vector<Message> deliveries;
   std::int64_t pending_msgs = 0;
   std::int64_t delivered_msgs = 0;
   std::vector<std::vector<std::uint8_t>> payload_pool;
@@ -209,7 +185,6 @@ struct ShardState {
 
   std::vector<NodeId> targets_scratch;
   std::vector<NodeId> digest_scratch;
-  std::vector<std::uint64_t> wheel_scratch;
   /// Scratch bitmap over node ids for sort_ids(); all-zero between calls.
   std::vector<std::uint64_t> id_bits;
 
@@ -280,8 +255,20 @@ class ClusterEngine {
   ClusterEngine(const ClusterConfig& config, std::uint64_t seed)
       : config_(config),
         max_nodes_(config.max_nodes > 0 ? config.max_nodes : config.n),
-        check_ms_(config.check_interval_ms),
-        faults_(config.scenario.sorted()) {
+        check_ms_(config.check_interval_ms) {
+    // Check ticks are stored per pair as 32 bits (ClusterNode::eval_tick),
+    // so the whole check grid - plus the clamp tick arm_pair parks
+    // never-due deadlines at - must fit before anything is sized by n.
+    RFD_REQUIRE(config_.check_interval_ms > 0.0);
+    RFD_REQUIRE_MSG(config_.duration_ms / config_.check_interval_ms <
+                        static_cast<double>(
+                            std::numeric_limits<std::int32_t>::max() - 4),
+                    "duration_ms / check_interval_ms exceeds the 32-bit "
+                    "check-tick range");
+    tick_limit_ = static_cast<std::int64_t>(
+                      std::max(0.0, config_.duration_ms / check_ms_)) +
+                  3;
+    faults_ = config_.scenario.sorted();
     RFD_REQUIRE(config_.n >= 2);
     RFD_REQUIRE(max_nodes_ >= config_.n);
     {
@@ -292,7 +279,6 @@ class ClusterEngine {
       RFD_REQUIRE_MSG(scenario_error.empty(), scenario_error.c_str());
     }
     RFD_REQUIRE(config_.heartbeat_interval_ms > 0.0);
-    RFD_REQUIRE(config_.check_interval_ms > 0.0);
     RFD_REQUIRE(config_.shards >= 1);
     seed_ = seed;
     shard_count_ = std::min(config_.shards, max_nodes_);
@@ -353,7 +339,6 @@ class ClusterEngine {
       shard->truth_active.assign(static_cast<std::size_t>(max_nodes_), 0);
       shard->send_seq.assign(static_cast<std::size_t>(max_nodes_), 0);
       shard->outbox.resize(static_cast<std::size_t>(shard_count_));
-      shard->buckets.resize(kBucketSlots);
       shard->id_bits.assign(static_cast<std::size_t>(max_nodes_ + 63) / 64,
                             0);
       for (NodeId j = shard->lo; j < shard->hi; ++j) {
@@ -495,8 +480,6 @@ class ClusterEngine {
   }
 
  private:
-  static constexpr std::int64_t kBucketSlots = 256;  // power of two
-
   /// The worker-resident epoch loop; every shard runs this once per
   /// simulation (shard 0 on the calling thread). plan_hi_ names the
   /// current epoch's exchange tick; shard 0 publishes the next plan in
@@ -529,10 +512,7 @@ class ClusterEngine {
         // A coalesced (exchange-free) tick is legal only because the
         // lookahead bound proved nothing can land at it; these asserts
         // make a violated bound loud, not silently nondeterministic.
-        RFD_REQUIRE(
-            shard.buckets[static_cast<std::size_t>(k & (kBucketSlots - 1))]
-                .empty());
-        RFD_REQUIRE(shard.far_buckets.find(k) == shard.far_buckets.end());
+        RFD_REQUIRE(shard.buckets.empty_at(k));
         evaluate_tick(shard, k, T);
         record_tick(shard, slot, k - k_lo);
       }
@@ -545,7 +525,7 @@ class ClusterEngine {
       deliver_and_evaluate(shard, k_hi, T);
       record_tick(shard, slot, static_cast<std::int64_t>(span) - 1);
       if (lookahead_cap_ > 1) {
-        slot.min_barrier = min_buffered_barrier(shard, k_hi);
+        slot.min_barrier = shard.buckets.earliest_after(k_hi);
         slot.next_send_at = shard.queue.next_event_at_bound();
       }
       if (use_merger_) {
@@ -597,29 +577,6 @@ class ClusterEngine {
     slot.tick_disagree[static_cast<std::size_t>(i)] = shard.disagreeing;
     slot.tick_pending[static_cast<std::size_t>(i)] =
         static_cast<std::int64_t>(shard.queue.size()) + shard.pending_msgs;
-  }
-
-  /// Earliest buffered delivery barrier still pending on this shard
-  /// after the exchange at tick `k` (INT64_MAX if none). Ring slots are
-  /// keyed mod kBucketSlots, but an occupied slot j windows ahead can
-  /// only mean barrier k + j: entries are filed with b - round <
-  /// kBucketSlots and every b <= k was already drained.
-  std::int64_t min_buffered_barrier(const ShardState& shard,
-                                    std::int64_t k) const {
-    std::int64_t best = std::numeric_limits<std::int64_t>::max();
-    for (std::int64_t j = 1; j < kBucketSlots; ++j) {
-      if (!shard
-               .buckets[static_cast<std::size_t>((k + j) &
-                                                 (kBucketSlots - 1))]
-               .empty()) {
-        best = k + j;
-        break;
-      }
-    }
-    if (!shard.far_buckets.empty()) {
-      best = std::min(best, shard.far_buckets.begin()->first);
-    }
-    return best;
   }
 
   /// Parks until the merger finished epoch `target` (<= 0: trivially
@@ -720,14 +677,16 @@ class ClusterEngine {
 
   /// Arms pair (i, j) for evaluation at check tick `tick` (clamped to the
   /// next tick). Earliest arming wins; superseded wheel entries are
-  /// skipped via the eval_tick mismatch when their tick comes up.
+  /// skipped via the eval_tick mismatch when their tick comes up. A tick
+  /// past the end of the run is parked at tick_limit_, which no run
+  /// evaluates, so it fits the 32-bit per-pair tick.
   void arm_pair(ShardState& shard, NodeId i, NodeId j, std::int64_t tick) {
-    tick = std::max(tick, shard.check_tick + 1);
+    tick = std::max(std::min(tick, tick_limit_), shard.check_tick + 1);
     ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
     const std::int64_t current = node.eval_tick(j);
     if (current >= 0 && current <= tick) return;
-    node.set_eval_tick(j, tick);
-    shard.wheel.push(shard.check_tick, tick, pair_key(i, j));
+    node.set_eval_tick(j, static_cast<std::int32_t>(tick));
+    shard.wheel.push(shard.check_tick + 1, tick, pair_key(i, j));
   }
 
   /// Check tick at which deadline `at` could first flip a verdict. One
@@ -825,14 +784,8 @@ class ClusterEngine {
   /// buckets >= k; barrier-time collection files for >= the barrier's k).
   void file_message(ShardState& shard, std::int64_t round, Message&& m) {
     const std::int64_t b = barrier_index(m.at);
-    RFD_REQUIRE(b >= round);
     ++shard.pending_msgs;
-    if (b - round < kBucketSlots) {
-      shard.buckets[static_cast<std::size_t>(b & (kBucketSlots - 1))]
-          .push_back(std::move(m));
-    } else {
-      shard.far_buckets[b].push_back(std::move(m));
-    }
+    shard.buckets.push(round, b, std::move(m));
   }
 
   void pump(ShardState& shard, NodeId i) {
@@ -931,13 +884,10 @@ class ClusterEngine {
       for (Message& m : box) file_message(shard, k, std::move(m));
       box.clear();
     }
-    auto& bucket =
-        shard.buckets[static_cast<std::size_t>(k & (kBucketSlots - 1))];
-    if (const auto it = shard.far_buckets.find(k);
-        it != shard.far_buckets.end()) {
-      for (Message& m : it->second) bucket.push_back(std::move(m));
-      shard.far_buckets.erase(it);
-    }
+    std::vector<Message>& bucket = shard.deliveries;
+    shard.buckets.drain(k, [&bucket](Message& m) {
+      bucket.push_back(std::move(m));
+    });
     std::sort(bucket.begin(), bucket.end(),
               [](const Message& lhs, const Message& rhs) {
                 if (lhs.to != rhs.to) return lhs.to < rhs.to;
@@ -959,11 +909,9 @@ class ClusterEngine {
   /// included - which is why lookahead never changes a verdict time.
   void evaluate_tick(ShardState& shard, std::int64_t k, double now) {
     shard.check_tick = k;
-    shard.wheel_scratch.clear();
-    shard.wheel.drain(k, shard.wheel_scratch);
-    for (const std::uint64_t key : shard.wheel_scratch) {
+    shard.wheel.drain(k, [&](std::uint64_t key) {
       evaluate_pair(shard, key, now);
-    }
+    });
   }
 
   void deliver(ShardState& shard, Message& m) {
@@ -1636,6 +1584,8 @@ class ClusterEngine {
   ClusterConfig config_;
   int max_nodes_;
   double check_ms_;
+  /// First check tick past any the run can evaluate (see arm_pair).
+  std::int64_t tick_limit_ = 0;
   int shard_count_ = 1;
   std::vector<FaultEvent> faults_;
   std::vector<int> owner_;

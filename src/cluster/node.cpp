@@ -1,6 +1,7 @@
 #include "cluster/node.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
@@ -24,6 +25,8 @@ ClusterNode::ClusterNode(NodeId id, int max_nodes, NodeParams params)
   if (params_.detector.kind == rt::DetectorKind::kFixed) {
     fixed_timeout_ms_ = params_.detector.fixed.timeout_ms;
     RFD_REQUIRE(fixed_timeout_ms_ > 0.0);
+  } else {
+    detectors_.resize(static_cast<std::size_t>(max_nodes));
   }
 }
 
@@ -31,9 +34,10 @@ void ClusterNode::reset_peers(double now,
                               const std::vector<NodeId>& contacts) {
   std::fill(counters_.begin(), counters_.end(), 0);
   std::fill(hot_.begin(), hot_.end(), PeerHot{});
-  std::fill(eval_tick_.begin(), eval_tick_.end(), std::int64_t{-1});
-  for (PeerRecord& r : records_) {
-    r = PeerRecord{};
+  std::fill(eval_tick_.begin(), eval_tick_.end(), -1);
+  std::fill(records_.begin(), records_.end(), PeerRecord{});
+  for (std::unique_ptr<rt::PeerDetector>& detector : detectors_) {
+    detector.reset();
   }
   hot_queue_.clear();
   hot_head_ = 0;
@@ -59,15 +63,21 @@ void ClusterNode::save_state(std::vector<std::uint8_t>& out) const {
     w.u8(h.flags);
     w.u8(static_cast<std::uint8_t>(h.hot_remaining));
   }
-  for (std::int64_t t : eval_tick_) w.i64(t);
+  // The format predates the 32-bit tick and the detector side array:
+  // ticks are still written as i64, and every record still carries a
+  // detector-presence byte (always 0 under kFixed).
+  for (std::int32_t t : eval_tick_) w.i64(t);
   std::vector<double> detector_state;
-  for (const PeerRecord& r : records_) {
+  for (std::size_t p = 0; p < records_.size(); ++p) {
+    const PeerRecord& r = records_[p];
+    const rt::PeerDetector* detector =
+        detectors_.empty() ? nullptr : detectors_[p].get();
     w.f64(r.known_since);
     w.f64(r.suspect_since);
-    w.u8(r.detector != nullptr ? 1 : 0);
-    if (r.detector != nullptr) {
+    w.u8(detector != nullptr ? 1 : 0);
+    if (detector != nullptr) {
       detector_state.clear();
-      r.detector->save_state(detector_state);
+      detector->save_state(detector_state);
       w.u32(static_cast<std::uint32_t>(detector_state.size()));
       for (double x : detector_state) w.f64(x);
     }
@@ -97,25 +107,35 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
     h.flags = r.u8();
     h.hot_remaining = static_cast<std::int8_t>(r.u8());
   }
-  for (std::int64_t& t : eval_tick_) t = r.i64();
+  for (std::int32_t& t : eval_tick_) {
+    const std::int64_t tick = r.i64();
+    if (tick < -1 || tick > std::numeric_limits<std::int32_t>::max()) {
+      return false;
+    }
+    t = static_cast<std::int32_t>(tick);
+  }
   std::vector<double> detector_state;
-  for (PeerRecord& rec : records_) {
+  for (std::size_t p = 0; p < records_.size(); ++p) {
+    PeerRecord& rec = records_[p];
     rec.known_since = r.f64();
     rec.suspect_since = r.f64();
     const bool has_detector = r.u8() != 0;
     if (!has_detector) {
-      rec.detector.reset();
+      if (!detectors_.empty()) detectors_[p].reset();
       continue;
     }
+    // A detector instance is only valid for an adaptive-detector node.
+    if (detectors_.empty()) return false;
     const std::uint32_t count = r.u32();
     if (!r.ok() || count > (1u << 20)) return false;
     detector_state.resize(count);
     for (double& x : detector_state) x = r.f64();
     if (!r.ok()) return false;
-    rec.detector = rt::make_detector(params_.detector);
+    std::unique_ptr<rt::PeerDetector>& detector = detectors_[p];
+    detector = rt::make_detector(params_.detector);
     const double* cursor = detector_state.data();
     const double* end = cursor + detector_state.size();
-    if (!rec.detector->restore_state(cursor, end) || cursor != end) {
+    if (!detector->restore_state(cursor, end) || cursor != end) {
       return false;
     }
   }

@@ -20,7 +20,8 @@
 // Layout is dictated by the two hot loops - the engine's receive loop
 // (one observe() per digest entry, tens of millions per run at n=1024)
 // and the topologies' per-round scans (target selection, digest
-// rotation). Per-peer state is struct-of-arrays:
+// rotation). Per-peer state is struct-of-arrays, 40 bytes per
+// (observer, peer) pair under kFixed:
 //   - counters_ (4 bytes/peer): the freshest heartbeat counter. A seen
 //     counter > 0 implies the peer is known, so a stale entry - the
 //     majority - is decided by this one load in a 4KB-per-node array
@@ -32,11 +33,13 @@
 //     default and the only per-(observer, victim)-pair allocation at
 //     scale - thus needs no heap object, no virtual dispatch, and no
 //     extra cache line on an advance. The scan loops and digest
-//     keep()-filters read only the flags byte of it. kChen/kPhi keep
-//     their heap detector in the cold record;
-//   - eval_tick_ (8 bytes/peer): the engine's suspicion-wheel slot;
-//   - records_ (cold): known_since, suspect bookkeeping and the adaptive
-//     detector instance - touched on state transitions, not per entry.
+//     keep()-filters read only the flags byte of it;
+//   - eval_tick_ (4 bytes/peer): the engine's suspicion-wheel tick (the
+//     engine bounds its check grid to 32 bits);
+//   - records_ (16 bytes/peer, cold): known_since and suspect
+//     bookkeeping - touched on state transitions, not per entry;
+//   - detectors_ (8 bytes/peer, kChen / kPhi only; empty under kFixed):
+//     the adaptive heap detector instances.
 // The hot-path queries and observe() are defined inline here so the
 // receive loop and the topology scans compile into flat array walks.
 // Detector state is created lazily on the first counter advance (a node
@@ -66,10 +69,6 @@ using rt::NodeId;
 /// by the engine's suspicion wheel, never per digest entry.
 struct PeerRecord {
   double known_since = -1.0;
-  /// Adaptive (kChen / kPhi) detector instance, created on the first
-  /// evidence-bearing advance. Always null for kFixed - that detector
-  /// lives in the peer's PeerHot::last_heartbeat slot.
-  std::unique_ptr<rt::PeerDetector> detector;
   /// When the current suspicion started (engine bookkeeping; -1 = not
   /// suspected). Written through ClusterNode::set_suspected.
   double suspect_since = -1.0;
@@ -152,12 +151,12 @@ class ClusterNode {
         result.started_detector = h.last_heartbeat < 0.0;
         h.last_heartbeat = now;
       } else {
-        PeerRecord& r = records_[p];
-        if (r.detector == nullptr) {
-          r.detector = rt::make_detector(params_.detector);
+        std::unique_ptr<rt::PeerDetector>& detector = detectors_[p];
+        if (detector == nullptr) {
+          detector = rt::make_detector(params_.detector);
           result.started_detector = true;
         }
-        r.detector->on_heartbeat(now);
+        detector->on_heartbeat(now);
       }
       enqueue_hot(h, p);
       result.advanced = true;
@@ -196,9 +195,9 @@ class ClusterNode {
       if (last < 0.0) return grace_expired(p, now);
       return now - last > fixed_timeout_ms_;
     }
-    const PeerRecord& r = records_[p];
-    if (r.detector == nullptr) return grace_expired(p, now);
-    return r.detector->suspects(now);
+    const rt::PeerDetector* detector = detectors_[p].get();
+    if (detector == nullptr) return grace_expired(p, now);
+    return detector->suspects(now);
   }
 
   /// Expiry deadline for `peer`: absent further counter advances,
@@ -218,9 +217,9 @@ class ClusterNode {
       if (last < 0.0) return grace_deadline(p);
       return last + fixed_timeout_ms_;
     }
-    const PeerRecord& r = records_[p];
-    if (r.detector == nullptr) return grace_deadline(p);
-    return r.detector->suspect_deadline();
+    const rt::PeerDetector* detector = detectors_[p].get();
+    if (detector == nullptr) return grace_deadline(p);
+    return detector->suspect_deadline();
   }
 
   /// Whether the detector's expiry deadline can only move forward on a
@@ -247,10 +246,10 @@ class ClusterNode {
   /// (dense, with the >= 0 state mirrored as the armed flag bit) so the
   /// wheel needs no side table of its own and the receive loop's skip
   /// test stays on the flags byte it already holds. See engine.cpp.
-  std::int64_t eval_tick(NodeId peer) const {
+  std::int32_t eval_tick(NodeId peer) const {
     return eval_tick_[static_cast<std::size_t>(peer)];
   }
-  void set_eval_tick(NodeId peer, std::int64_t tick) {
+  void set_eval_tick(NodeId peer, std::int32_t tick) {
     const std::size_t p = static_cast<std::size_t>(peer);
     eval_tick_[p] = tick;
     if (tick >= 0) {
@@ -434,8 +433,12 @@ class ClusterNode {
   /// Dense per-peer hot state (see file header).
   std::vector<std::int32_t> counters_;
   std::vector<PeerHot> hot_;
-  std::vector<std::int64_t> eval_tick_;
+  std::vector<std::int32_t> eval_tick_;
   std::vector<PeerRecord> records_;
+  /// Adaptive (kChen / kPhi) detector per peer, created on the first
+  /// evidence-bearing advance. Empty for kFixed, whose detector is the
+  /// peer's PeerHot::last_heartbeat.
+  std::vector<std::unique_ptr<rt::PeerDetector>> detectors_;
   std::int64_t membership_version_ = 0;
   bool active_ = true;
   std::int64_t own_counter_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/assert.hpp"
 
@@ -198,6 +199,9 @@ Scenario& Scenario::flapping_link(double from_ms, double to_ms,
   RFD_REQUIRE(period_ms > 0.0);
   RFD_REQUIRE(duty >= 0.0 && duty <= 1.0);
   RFD_REQUIRE(!a.empty() && !b.empty());
+  RFD_REQUIRE_MSG(flapping_link_events(from_ms, to_ms, period_ms) <=
+                      static_cast<double>(kMaxExpansionEvents),
+                  "flapping_link expands to too many events");
   if (duty >= 1.0) return *this;  // never down
   // Each period is up for duty*period, then down (both directions) for
   // the rest; a window that would still be down at to_ms is cut short so
@@ -212,6 +216,14 @@ Scenario& Scenario::flapping_link(double from_ms, double to_ms,
     link_up(up_at, b, a);
   }
   return *this;
+}
+
+double Scenario::flapping_link_events(double from_ms, double to_ms,
+                                      double period_ms) {
+  if (!(to_ms + period_ms > to_ms)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return 4.0 * std::ceil((to_ms - from_ms) / period_ms);
 }
 
 Scenario& Scenario::overload_ramp(double from_ms, double to_ms, int steps,

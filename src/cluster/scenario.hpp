@@ -35,6 +35,12 @@
 
 namespace rfd::cluster {
 
+/// Most primitive events one compound builder call or one DSL statement
+/// may expand to. Timelines are written by hand, so a statement past this
+/// bound is a typo; expanding it would exhaust memory before anything
+/// could diagnose it.
+inline constexpr std::int64_t kMaxExpansionEvents = 100'000;
+
 using rt::NodeId;
 
 enum class FaultKind {
@@ -113,10 +119,16 @@ struct Scenario {
 
   /// Flapping link between sets `a` and `b`: over [from_ms, to_ms), each
   /// `period_ms` window is up for `duty` of the period then down (both
-  /// directions) for the rest. Expands to link_down/link_up pairs.
+  /// directions) for the rest. Expands to link_down/link_up pairs,
+  /// at most kMaxExpansionEvents of them.
   Scenario& flapping_link(double from_ms, double to_ms, double period_ms,
                           double duty, std::vector<NodeId> a,
                           std::vector<NodeId> b);
+  /// Upper bound on the events flapping_link expands to: four per
+  /// period, or +infinity when period_ms is lost to rounding at to_ms
+  /// (the expansion would never advance).
+  static double flapping_link_events(double from_ms, double to_ms,
+                                     double period_ms);
 
   /// Cascading overload: `steps` storm escalations over [from_ms, to_ms),
   /// ramping the extra delay linearly up to `peak_extra_ms` (each step

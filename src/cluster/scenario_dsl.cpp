@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -127,8 +128,8 @@ bool parse_integer(const Statement& st, const KeyVal& kv, std::int64_t& out,
 }
 
 /// Node set: comma-separated ids and lo-hi ranges, e.g. `0-3,7,9`.
-bool parse_set(const Statement& st, const KeyVal& kv, std::string_view text,
-               int text_col, std::vector<NodeId>& out, DslError& err) {
+bool parse_set(const Statement& st, std::string_view text, int text_col,
+               std::vector<NodeId>& out, DslError& err) {
   std::size_t pos = 0;
   if (text.empty()) return fail(err, st.line, text_col, "empty node set");
   while (pos < text.size()) {
@@ -150,13 +151,12 @@ bool parse_set(const Statement& st, const KeyVal& kv, std::string_view text,
       id = static_cast<NodeId>(value);
       return true;
     };
+    NodeId lo = 0;
+    NodeId hi = 0;
     if (dash == std::string_view::npos) {
-      NodeId id = 0;
-      if (!id_of(part, part_col, id)) return false;
-      out.push_back(id);
+      if (!id_of(part, part_col, lo)) return false;
+      hi = lo;
     } else {
-      NodeId lo = 0;
-      NodeId hi = 0;
       if (!id_of(part.substr(0, dash), part_col, lo)) return false;
       if (!id_of(part.substr(dash + 1),
                  part_col + static_cast<int>(dash) + 1, hi)) {
@@ -166,8 +166,14 @@ bool parse_set(const Statement& st, const KeyVal& kv, std::string_view text,
         return fail(err, st.line, part_col,
                     "descending range '" + std::string(part) + "'");
       }
-      for (NodeId id = lo; id <= hi; ++id) out.push_back(id);
     }
+    if (static_cast<std::int64_t>(out.size()) + hi - lo + 1 >
+        kMaxExpansionEvents) {
+      return fail(err, st.line, part_col,
+                  "node set holds more than " +
+                      std::to_string(kMaxExpansionEvents) + " ids");
+    }
+    for (NodeId id = lo; id <= hi; ++id) out.push_back(id);
     pos = end + (end < text.size() ? 1 : 0);
   }
   return true;
@@ -192,8 +198,8 @@ struct Parser {
     return ctx.max_nodes;
   }
 
-  int rack_size(std::int64_t explicit_size) const {
-    if (explicit_size > 0) return static_cast<int>(explicit_size);
+  std::int64_t rack_size(std::int64_t explicit_size) const {
+    if (explicit_size > 0) return explicit_size;
     if (doc.cluster_size > 0) return doc.cluster_size;
     if (ctx.cluster_size > 0) return ctx.cluster_size;
     const int limit = id_limit();
@@ -279,7 +285,20 @@ struct Parser {
       return fail(err, st.line, find(st, "to")->value_col,
                   "to must be greater than from");
     }
+    if (doc.duration_ms > 0.0 && to > doc.duration_ms) {
+      return fail(err, st.line, find(st, "to")->value_col,
+                  "to lies past the scenario duration");
+    }
     return true;
+  }
+
+  /// Rejects a statement that would expand to more than
+  /// kMaxExpansionEvents primitive events, before expanding anything.
+  bool within_cap(const Statement& st, double events) {
+    if (events <= static_cast<double>(kMaxExpansionEvents)) return true;
+    return fail(err, st.line, st.col,
+                st.keyword + " expands to more than " +
+                    std::to_string(kMaxExpansionEvents) + " events");
   }
 
   bool probability(const Statement& st, std::string_view key, double fallback,
@@ -301,7 +320,7 @@ struct Parser {
                 std::vector<NodeId>& out) {
     const KeyVal* kv = nullptr;
     if (!required(st, key, kv)) return false;
-    if (!parse_set(st, *kv, kv->value, kv->value_col, out, err)) {
+    if (!parse_set(st, kv->value, kv->value_col, out, err)) {
       return false;
     }
     return check_ids(st, *kv, out);
@@ -429,12 +448,15 @@ struct Parser {
       std::vector<std::vector<NodeId>> groups;
       std::string_view rest = kv->value;
       int col = kv->value_col;
+      std::size_t ids = 0;
       for (;;) {
         const std::size_t bar = rest.find('|');
         const std::string_view part = rest.substr(0, bar);
         groups.emplace_back();
-        if (!parse_set(st, *kv, part, col, groups.back(), err)) return false;
+        if (!parse_set(st, part, col, groups.back(), err)) return false;
         if (!check_ids(st, *kv, groups.back())) return false;
+        ids += groups.back().size();
+        if (!within_cap(st, static_cast<double>(ids))) return false;
         if (bar == std::string_view::npos) break;
         rest = rest.substr(bar + 1);
         col += static_cast<int>(bar) + 1;
@@ -573,6 +595,10 @@ struct Parser {
           !node_set(st, "b", b)) {
         return false;
       }
+      if (!within_cap(st,
+                      Scenario::flapping_link_events(from, to, period))) {
+        return false;
+      }
       doc.scenario.flapping_link(from, to, period, duty, std::move(a),
                                  std::move(b));
       mark_events(st.line);
@@ -597,16 +623,19 @@ struct Parser {
           return fail(err, st.line, size_kv->value_col, "size must be >= 1");
         }
       }
-      const int rack = rack_size(size);
+      const std::int64_t rack = rack_size(size);
       if (rack <= 0) {
         return fail(err, st.line, st.col,
                     "rack needs size= (no cluster size in config/context)");
       }
+      if (!within_cap(st, static_cast<double>(rack))) return false;
+      // Both factors are bounded now, so lo and hi cannot overflow.
+      constexpr std::int64_t kMaxId = std::numeric_limits<NodeId>::max();
       const int limit = id_limit();
-      std::int64_t lo = group * rack;
+      const std::int64_t lo = std::min(group, kMaxId) * rack;
       std::int64_t hi = lo + rack;
       if (limit > 0) hi = std::min<std::int64_t>(hi, limit);
-      if (lo >= hi) {
+      if (lo >= hi || hi > kMaxId) {
         return fail(err, st.line, kv->value_col,
                     "rack group " + std::to_string(group) +
                         " is beyond max_nodes");
@@ -643,6 +672,7 @@ struct Parser {
       if (steps < 1) {
         return fail(err, st.line, steps_kv->value_col, "steps must be >= 1");
       }
+      if (!within_cap(st, static_cast<double>(steps) + 1.0)) return false;
       if (extra < 0.0) {
         return fail(err, st.line, extra_kv->value_col,
                     "extra must be >= 0 ms");
@@ -660,13 +690,13 @@ struct Parser {
       std::vector<NodeId> joins;
       std::vector<NodeId> leaves;
       if (const KeyVal* kv = find(st, "join")) {
-        if (!parse_set(st, *kv, kv->value, kv->value_col, joins, err) ||
+        if (!parse_set(st, kv->value, kv->value_col, joins, err) ||
             !check_ids(st, *kv, joins)) {
           return false;
         }
       }
       if (const KeyVal* kv = find(st, "leave")) {
-        if (!parse_set(st, *kv, kv->value, kv->value_col, leaves, err) ||
+        if (!parse_set(st, kv->value, kv->value_col, leaves, err) ||
             !check_ids(st, *kv, leaves)) {
           return false;
         }
@@ -674,6 +704,9 @@ struct Parser {
       if (joins.empty() && leaves.empty()) {
         return fail(err, st.line, st.col,
                     "churn needs join= and/or leave=");
+      }
+      if (!within_cap(st, static_cast<double>(joins.size() + leaves.size()))) {
+        return false;
       }
       // Joins on the grid, leaves offset by half a step, so the two
       // streams interleave instead of colliding.

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -99,11 +100,23 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
     }
   };
 
+  // Per-node periodic closures. Each reschedules itself through a small
+  // trampoline that indexes these vectors, so the queue never holds an
+  // owning reference back to its own closure (no ownership cycle); the
+  // vectors live until the function returns, after the last run.
+  std::vector<std::function<void()>> pumps(static_cast<std::size_t>(config.n));
+  std::vector<std::function<void()>> checks(
+      static_cast<std::size_t>(config.n));
+  const auto run_pump = [&pumps](NodeId i) {
+    return [&pumps, i] { pumps[static_cast<std::size_t>(i)](); };
+  };
+  const auto run_check = [&checks](NodeId i) {
+    return [&checks, i] { checks[static_cast<std::size_t>(i)](); };
+  };
+
   // Heartbeat pumps.
   for (NodeId i = 0; i < config.n; ++i) {
-    std::shared_ptr<std::function<void()>> pump =
-        std::make_shared<std::function<void()>>();
-    *pump = [&, i, pump] {
+    pumps[static_cast<std::size_t>(i)] = [&, i] {
       Node& node = nodes[static_cast<std::size_t>(i)];
       const double now = queue.now();
       if (!node.active(now)) return;
@@ -115,16 +128,14 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
           detector_for(dst, i).on_heartbeat(queue.now());
         });
       }
-      queue.schedule_in(config.heartbeat_interval_ms, *pump);
+      queue.schedule_in(config.heartbeat_interval_ms, run_pump(i));
     };
-    queue.schedule(0.0, *pump);
+    queue.schedule(0.0, run_pump(i));
   }
 
   // Coordinator check loops.
   for (NodeId i = 0; i < config.n; ++i) {
-    std::shared_ptr<std::function<void()>> check =
-        std::make_shared<std::function<void()>>();
-    *check = [&, i, check] {
+    checks[static_cast<std::size_t>(i)] = [&, i] {
       Node& node = nodes[static_cast<std::size_t>(i)];
       const double now = queue.now();
       if (!node.active(now)) return;
@@ -176,9 +187,9 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
           });
         }
       }
-      queue.schedule_in(config.check_interval_ms, *check);
+      queue.schedule_in(config.check_interval_ms, run_check(i));
     };
-    queue.schedule(config.check_interval_ms, *check);
+    queue.schedule(config.check_interval_ms, run_check(i));
   }
 
   queue.run_until(config.duration_ms);

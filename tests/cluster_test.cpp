@@ -257,6 +257,17 @@ TEST(Cluster, GossipMessageLoadIsSublinear) {
             rg64.messages_per_node_per_s);
 }
 
+TEST(ClusterDeathTest, CheckGridBeyond32BitTicksIsRejected) {
+  // Pair eval ticks are stored as 32 bits; a run whose check grid does
+  // not fit must be refused before any per-pair state or worker exists.
+  ClusterConfig config;
+  config.n = 2;
+  config.shards = 1;
+  config.check_interval_ms = 100.0;
+  config.duration_ms = 1e12;  // 1e10 check ticks
+  EXPECT_DEATH(run_cluster(config, 1), "32-bit check-tick range");
+}
+
 TEST(DigestCodec, RoundTripsWorstCaseVarints) {
   // Covers the raw-cursor encode fast path at the varint extremes that a
   // short simulation never reaches: multi-byte gaps, 32-bit maxima, and

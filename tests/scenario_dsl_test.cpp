@@ -261,6 +261,60 @@ TEST(ScenarioDsl, NodeBoundsCheckedAgainstConfigOrContext) {
   EXPECT_EQ(doc.max_node_ref, 100);
 }
 
+TEST(ScenarioDsl, CompoundExpansionIsBounded) {
+  // Without a declared duration, the per-statement cap is what stops a
+  // one-line typo from expanding into millions of events (4,000,000 and
+  // ~8e15 here) before anything could diagnose it.
+  DslError err = parse_fail(
+      "flap from=0 to=10000000 period=10 duty=0.5 a=0 b=1\n");
+  EXPECT_EQ(err.line, 1);
+  EXPECT_EQ(err.col, 1);
+  EXPECT_NE(err.message.find("expands to more than"), std::string::npos)
+      << err.to_string();
+  err = parse_fail(
+      "crash at=1000 node=1\n"
+      "flap from=0 to=19999999999997000 period=10 duty=0.5 a=0 b=1\n");
+  EXPECT_EQ(err.line, 2);
+  EXPECT_NE(err.message.find("expands to more than"), std::string::npos)
+      << err.to_string();
+  // A period below the time resolution at `to` would never advance.
+  err = parse_fail(
+      "flap from=100000000000000000 to=100000000000016000 period=1 a=0 "
+      "b=1\n");
+  EXPECT_NE(err.message.find("expands to more than"), std::string::npos)
+      << err.to_string();
+  err = parse_fail("overload from=0 to=1000 steps=100000000 extra=5\n");
+  EXPECT_NE(err.message.find("expands to more than"), std::string::npos)
+      << err.to_string();
+  err = parse_fail("rack at=1000 group=0 size=2000000000\n");
+  EXPECT_NE(err.message.find("expands to more than"), std::string::npos)
+      << err.to_string();
+  err = parse_fail("crash at=1000 node=3,0-2000000000\n");
+  EXPECT_EQ(err.col, 22);
+  EXPECT_NE(err.message.find("more than"), std::string::npos)
+      << err.to_string();
+
+  // With a declared duration, a window ending past it is rejected at
+  // its `to` value; ending exactly at the duration is fine.
+  err = parse_fail(
+      "config n=8 duration=10000\n"
+      "flap from=0 to=19999999999997000 period=10 duty=0.5 a=0 b=1\n");
+  EXPECT_EQ(err.line, 2);
+  EXPECT_EQ(err.col, 16);
+  EXPECT_NE(err.message.find("past the scenario duration"),
+            std::string::npos)
+      << err.to_string();
+  err = parse_fail("config n=8 duration=10000\n"
+                   "delay_storm from=5000 to=10001 extra=5\n");
+  EXPECT_EQ(err.line, 2);
+  EXPECT_NE(err.message.find("past the scenario duration"),
+            std::string::npos);
+  const ScenarioDoc doc = parse_ok(
+      "config n=8 duration=10000\n"
+      "flap from=0 to=10000 period=1000 duty=0.5 a=0 b=1\n");
+  EXPECT_EQ(doc.scenario.events.size(), 40u);
+}
+
 TEST(ScenarioDsl, CrossStatementDisciplineAttributedToOffendingLine) {
   // link_up with no matching installed block: check() flags the event,
   // the parser maps it back to line 2.
