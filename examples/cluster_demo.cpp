@@ -9,6 +9,7 @@
 //
 //   ./cluster_demo [seed] [--scenario <file.scn>] [--trace <path|->]
 //                  [--trace-every <ticks>] [--profile] [--shards <count>]
+//                  [--help]
 //
 // --scenario replaces the built-in timeline with a scenario DSL file
 // (see scenarios/ and src/cluster/scenario_dsl.hpp for the grammar);
@@ -19,7 +20,8 @@
 // that many check ticks (default 10 when tracing). --profile adds phase
 // timer rollups to the end of the trace. --shards runs the sharded
 // parallel core; every metric and trace byte is identical for any value
-// (try it), only wall-clock changes.
+// (try it), only wall-clock changes. Any other flag is rejected with
+// exit status 2.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -31,9 +33,27 @@
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: cluster_demo [seed] [flags]\n"
+    "  --scenario <file.scn>   run a scenario DSL file instead of the "
+    "built-in timeline\n"
+    "  --trace <path|->        stream the JSONL event trace\n"
+    "  --trace-every <ticks>   metrics snapshot cadence (default 10 when "
+    "tracing)\n"
+    "  --profile               phase timer rollups at the end of the trace\n"
+    "  --shards <count>        sharded parallel core (default 1)\n"
+    "  --help                  this text\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace rfd;
   const Cli cli(argc, argv);
+  const int gate = check_flags(
+      cli, {"scenario", "trace", "trace-every", "profile", "shards"}, kUsage);
+  if (gate >= 0) return gate;
   const std::uint64_t seed =
       !cli.positional().empty()
           ? std::strtoull(cli.positional()[0].c_str(), nullptr, 10)

@@ -1,25 +1,10 @@
 // Soak runner: the cluster protocol on a real or simulated transport,
 // with checkpointed crash-resume and graceful signal shutdown.
 //
-//   ./soak [seed]
-//          [--backend sim|udp]        transport (default sim)
-//          [--scenario <file.scn>]    fault timeline (scenario DSL)
-//          [--n <count>]              initial nodes (default 16)
-//          [--duration <ms>]          simulated horizon (default 30000)
-//          [--tick <ms>]              heartbeat/check grid (default 100)
-//          [--detector fixed|chen|phi] (default fixed)
-//          [--timeout <ms>]           fixed detector timeout (default 1000)
-//          [--flaky]                  socket-boundary fault injection
-//          [--flaky-loss <p>]         injection loss probability
-//          [--flaky-dup <p>]          injection duplication probability
-//          [--loss <p>]               sim backend network loss
-//          [--checkpoint <path>]      checkpoint file (enables snapshots)
-//          [--checkpoint-every <ms>]  cadence (default 5000 when enabled)
-//          [--resume]                 resume from --checkpoint
-//          [--time-scale <x>]         udp wall ms per sim ms (default 1.0)
-//          [--base-port <port>]       udp port range base (default 39000)
-//          [--trace <path|->]         JSONL trace
-//          [--trace-every <ticks>]    metrics snapshot cadence
+//   ./soak_main [seed] [flags]
+//
+// `--help` lists the flags (kUsage below); any other flag is rejected
+// with exit status 2, so a typo cannot silently select a default.
 //
 // The same .scn files the simulator runs drive this binary on both
 // backends; on udp, network-shaped faults require --flaky (the
@@ -39,9 +24,43 @@
 #include "common/table.hpp"
 #include "transport/soak.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: soak_main [seed] [flags]\n"
+    "  --backend sim|udp         transport (default sim)\n"
+    "  --scenario <file.scn>     fault timeline (scenario DSL)\n"
+    "  --n <count>               initial nodes (default 16)\n"
+    "  --duration <ms>           simulated horizon (default 30000)\n"
+    "  --tick <ms>               heartbeat/check grid (default 100)\n"
+    "  --detector fixed|chen|phi detector kind (default fixed)\n"
+    "  --timeout <ms>            fixed detector timeout (default 1000)\n"
+    "  --flaky                   socket-boundary fault injection\n"
+    "  --flaky-loss <p>          injection loss probability\n"
+    "  --flaky-dup <p>           injection duplication probability\n"
+    "  --loss <p>                sim backend network loss\n"
+    "  --checkpoint <path>       checkpoint file (enables snapshots)\n"
+    "  --checkpoint-every <ms>   cadence (default 5000 when enabled)\n"
+    "  --resume                  resume from --checkpoint\n"
+    "  --time-scale <x>          udp wall ms per sim ms (default 1.0)\n"
+    "  --base-port <port>        udp port range base (default 39000)\n"
+    "  --trace <path|->          JSONL trace\n"
+    "  --trace-every <ticks>     metrics snapshot cadence\n"
+    "  --help                    this text\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace rfd;
   const Cli cli(argc, argv);
+  const int gate = check_flags(
+      cli,
+      {"backend", "scenario", "n", "duration", "tick", "detector", "timeout",
+       "flaky", "flaky-loss", "flaky-dup", "loss", "checkpoint",
+       "checkpoint-every", "resume", "time-scale", "base-port", "trace",
+       "trace-every"},
+      kUsage);
+  if (gate >= 0) return gate;
   const std::uint64_t seed =
       !cli.positional().empty()
           ? std::strtoull(cli.positional()[0].c_str(), nullptr, 10)

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -162,7 +163,12 @@ struct ShardState {
   /// Suspicion-deadline wheel over check ticks: pair keys due for
   /// re-evaluation (detector timeouts span a handful of ticks; later
   /// deadlines spill into the ring's far map).
-  TickRing<std::uint64_t, 512> wheel;
+  TickRing<std::uint32_t, 512> wheel;
+  /// When each owned pair last raised a suspicion while its victim was
+  /// truly down, by pair key. finalize() reads detection latency from it
+  /// for the pairs still suspecting a down victim; a pair with no entry
+  /// has suspected since before the crash.
+  std::unordered_map<std::uint32_t, double> down_raises;
 
   // Message plumbing: per-destination-shard outboxes filled during the
   // window, delivery buckets keyed by barrier index, and the reusable
@@ -271,6 +277,9 @@ class ClusterEngine {
     faults_ = config_.scenario.sorted();
     RFD_REQUIRE(config_.n >= 2);
     RFD_REQUIRE(max_nodes_ >= config_.n);
+    // Pair keys (i * max_nodes + j) are stored as 32 bits in the wheel.
+    RFD_REQUIRE_MSG(max_nodes_ <= 65536,
+                    "max_nodes exceeds the 32-bit pair-key range");
     {
       // Reject malformed timelines before any state exists: an unmatched
       // storm_off or link_up would silently corrupt the per-shard network
@@ -659,10 +668,10 @@ class ClusterEngine {
            shard.truth_active[static_cast<std::size_t>(j)] == 0;
   }
 
-  std::uint64_t pair_key(NodeId i, NodeId j) const {
-    return static_cast<std::uint64_t>(i) *
-               static_cast<std::uint64_t>(max_nodes_) +
-           static_cast<std::uint64_t>(j);
+  std::uint32_t pair_key(NodeId i, NodeId j) const {
+    return static_cast<std::uint32_t>(i) *
+               static_cast<std::uint32_t>(max_nodes_) +
+           static_cast<std::uint32_t>(j);
   }
 
   /// First barrier at which a message arriving at `at` may be applied:
@@ -909,7 +918,7 @@ class ClusterEngine {
   /// included - which is why lookahead never changes a verdict time.
   void evaluate_tick(ShardState& shard, std::int64_t k, double now) {
     shard.check_tick = k;
-    shard.wheel.drain(k, [&](std::uint64_t key) {
+    shard.wheel.drain(k, [&](std::uint32_t key) {
       evaluate_pair(shard, key, now);
     });
   }
@@ -982,11 +991,11 @@ class ClusterEngine {
     }
   }
 
-  void evaluate_pair(ShardState& shard, std::uint64_t key, double now) {
+  void evaluate_pair(ShardState& shard, std::uint32_t key, double now) {
     const NodeId i = static_cast<NodeId>(
-        key / static_cast<std::uint64_t>(max_nodes_));
+        key / static_cast<std::uint32_t>(max_nodes_));
     const NodeId j = static_cast<NodeId>(
-        key % static_cast<std::uint64_t>(max_nodes_));
+        key % static_cast<std::uint32_t>(max_nodes_));
     ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
     if (node.eval_tick(j) != shard.check_tick) return;  // superseded
     node.set_eval_tick(j, -1);
@@ -999,10 +1008,14 @@ class ClusterEngine {
     if (suspected != was_suspected) {
       shard.disagreeing += (suspected != down) ? 1 : 0;
       shard.disagreeing -= (was_suspected != down) ? 1 : 0;
-      node.set_suspected(j, suspected, suspected ? now : -1.0);
+      node.set_suspected(j, suspected);
       if (suspected) {
         ++shard.c_raises;
-        if (!down) ++shard.c_false;
+        if (down) {
+          shard.down_raises[key] = now;
+        } else {
+          ++shard.c_false;
+        }
       } else {
         ++shard.c_clears;
       }
@@ -1495,10 +1508,18 @@ class ClusterEngine {
         const ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
         if (!node.knows(j)) continue;  // never met the victim; not a miss
         if (node.is_suspected(j)) {
-          // A suspicion already standing at crash time detects
-          // "instantly" from the abstraction's point of view.
-          h_detect_->add(
-              std::max(0.0, node.record(j).suspect_since - down_at));
+          // The standing suspicion's raise time; one already standing at
+          // crash time (no raise logged since, or only one from an
+          // earlier down period) detects "instantly" from the
+          // abstraction's point of view.
+          const auto& raises =
+              shards_[static_cast<std::size_t>(
+                          owner_[static_cast<std::size_t>(i)])]
+                  ->down_raises;
+          const auto raise = raises.find(pair_key(i, j));
+          const double since =
+              raise == raises.end() ? down_at : raise->second;
+          h_detect_->add(std::max(0.0, since - down_at));
         } else {
           c_missed_->add(1);
         }

@@ -1,7 +1,6 @@
 #include "cluster/node.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
@@ -11,10 +10,11 @@ namespace rfd::cluster {
 ClusterNode::ClusterNode(NodeId id, int max_nodes, NodeParams params)
     : id_(id), max_nodes_(max_nodes), params_(params),
       counters_(static_cast<std::size_t>(max_nodes), 0),
-      hot_(static_cast<std::size_t>(max_nodes)),
+      meta_(static_cast<std::size_t>(max_nodes)),
+      stamp_(static_cast<std::size_t>(max_nodes), -1.0),
       eval_tick_(static_cast<std::size_t>(max_nodes), -1),
-      records_(static_cast<std::size_t>(max_nodes)),
-      digest_cursor_(static_cast<int>(id) % max_nodes) {
+      digest_cursor_(static_cast<int>(id) % max_nodes),
+      hot_ring_(static_cast<std::size_t>(max_nodes)) {
   RFD_REQUIRE(id >= 0 && id < max_nodes);
   RFD_REQUIRE(params_.bootstrap_grace_ms > 0.0);
   // 0 would re-queue a peer on every observe() without any topology ever
@@ -33,14 +33,14 @@ ClusterNode::ClusterNode(NodeId id, int max_nodes, NodeParams params)
 void ClusterNode::reset_peers(double now,
                               const std::vector<NodeId>& contacts) {
   std::fill(counters_.begin(), counters_.end(), 0);
-  std::fill(hot_.begin(), hot_.end(), PeerHot{});
+  std::fill(meta_.begin(), meta_.end(), PeerMeta{});
+  std::fill(stamp_.begin(), stamp_.end(), -1.0);
   std::fill(eval_tick_.begin(), eval_tick_.end(), -1);
-  std::fill(records_.begin(), records_.end(), PeerRecord{});
   for (std::unique_ptr<rt::PeerDetector>& detector : detectors_) {
     detector.reset();
   }
-  hot_queue_.clear();
   hot_head_ = 0;
+  hot_size_ = 0;
   known_count_ = 0;
   ++membership_version_;
   for (NodeId contact : contacts) {
@@ -58,36 +58,25 @@ void ClusterNode::save_state(std::vector<std::uint8_t>& out) const {
   w.i32(digest_cursor_);
   w.i32(known_count_);
   for (std::int32_t c : counters_) w.i32(c);
-  for (const PeerHot& h : hot_) {
-    w.f64(h.last_heartbeat);
-    w.u8(h.flags);
-    w.u8(static_cast<std::uint8_t>(h.hot_remaining));
+  for (std::size_t p = 0; p < meta_.size(); ++p) {
+    w.f64(stamp_[p]);
+    w.u8(meta_[p].flags);
+    w.u8(static_cast<std::uint8_t>(meta_[p].hot_remaining));
   }
-  // The format predates the 32-bit tick and the detector side array:
-  // ticks are still written as i64, and every record still carries a
-  // detector-presence byte (always 0 under kFixed).
-  for (std::int32_t t : eval_tick_) w.i64(t);
+  for (std::int32_t t : eval_tick_) w.i32(t);
+  // Adaptive nodes: one detector state per heard peer, in id order (the
+  // heard flag says which peers have one).
   std::vector<double> detector_state;
-  for (std::size_t p = 0; p < records_.size(); ++p) {
-    const PeerRecord& r = records_[p];
-    const rt::PeerDetector* detector =
-        detectors_.empty() ? nullptr : detectors_[p].get();
-    w.f64(r.known_since);
-    w.f64(r.suspect_since);
-    w.u8(detector != nullptr ? 1 : 0);
-    if (detector != nullptr) {
-      detector_state.clear();
-      detector->save_state(detector_state);
-      w.u32(static_cast<std::uint32_t>(detector_state.size()));
-      for (double x : detector_state) w.f64(x);
-    }
+  for (std::size_t p = 0; p < detectors_.size(); ++p) {
+    if ((meta_[p].flags & kHeardFlag) == 0) continue;
+    detector_state.clear();
+    detectors_[p]->save_state(detector_state);
+    w.u32(static_cast<std::uint32_t>(detector_state.size()));
+    for (double x : detector_state) w.f64(x);
   }
-  // Only the live [hot_head_, size()) region of the hot queue matters;
-  // the restored queue starts compacted at head 0.
-  w.u32(static_cast<std::uint32_t>(hot_queue_.size() - hot_head_));
-  for (std::size_t i = hot_head_; i < hot_queue_.size(); ++i) {
-    w.i32(hot_queue_[i]);
-  }
+  // The hot queue's live entries, oldest first.
+  w.u32(static_cast<std::uint32_t>(hot_size_));
+  for (std::size_t i = 0; i < hot_size_; ++i) w.i32(hot_ring_[ring_index(i)]);
 }
 
 bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
@@ -102,30 +91,21 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
   digest_cursor_ = r.i32();
   known_count_ = r.i32();
   for (std::int32_t& c : counters_) c = r.i32();
-  for (PeerHot& h : hot_) {
-    h.last_heartbeat = r.f64();
-    h.flags = r.u8();
-    h.hot_remaining = static_cast<std::int8_t>(r.u8());
+  for (std::size_t p = 0; p < meta_.size(); ++p) {
+    stamp_[p] = r.f64();
+    meta_[p].flags = r.u8();
+    meta_[p].hot_remaining = static_cast<std::int8_t>(r.u8());
   }
   for (std::int32_t& t : eval_tick_) {
-    const std::int64_t tick = r.i64();
-    if (tick < -1 || tick > std::numeric_limits<std::int32_t>::max()) {
-      return false;
-    }
-    t = static_cast<std::int32_t>(tick);
+    t = r.i32();
+    if (t < -1) return false;
   }
   std::vector<double> detector_state;
-  for (std::size_t p = 0; p < records_.size(); ++p) {
-    PeerRecord& rec = records_[p];
-    rec.known_since = r.f64();
-    rec.suspect_since = r.f64();
-    const bool has_detector = r.u8() != 0;
-    if (!has_detector) {
-      if (!detectors_.empty()) detectors_[p].reset();
+  for (std::size_t p = 0; p < detectors_.size(); ++p) {
+    if ((meta_[p].flags & kHeardFlag) == 0) {
+      detectors_[p].reset();
       continue;
     }
-    // A detector instance is only valid for an adaptive-detector node.
-    if (detectors_.empty()) return false;
     const std::uint32_t count = r.u32();
     if (!r.ok() || count > (1u << 20)) return false;
     detector_state.resize(count);
@@ -139,16 +119,26 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
       return false;
     }
   }
+  // The ring only stays within its max_nodes_ slots if the queue holds
+  // exactly the peers with piggyback budget left, each once.
   const std::uint32_t queued = r.u32();
   if (!r.ok() || queued > static_cast<std::uint32_t>(max_nodes_)) {
     return false;
   }
-  hot_queue_.resize(queued);
-  for (NodeId& peer : hot_queue_) {
-    peer = r.i32();
-    if (peer < 0 || peer >= max_nodes_) return false;
-  }
+  std::size_t budgeted = 0;
+  for (const PeerMeta& m : meta_) budgeted += m.hot_remaining > 0 ? 1 : 0;
+  if (queued != budgeted) return false;
+  std::vector<bool> seen(meta_.size(), false);
   hot_head_ = 0;
+  hot_size_ = queued;
+  for (std::size_t i = 0; i < hot_size_; ++i) {
+    const NodeId peer = r.i32();
+    if (peer < 0 || peer >= max_nodes_) return false;
+    const std::size_t p = static_cast<std::size_t>(peer);
+    if (seen[p] || meta_[p].hot_remaining <= 0) return false;
+    seen[p] = true;
+    hot_ring_[i] = peer;
+  }
   if (!r.ok()) return false;
   if (digest_cursor_ < 0 || digest_cursor_ >= max_nodes_ ||
       known_count_ < 0 || known_count_ > max_nodes_) {

@@ -20,26 +20,31 @@
 // Layout is dictated by the two hot loops - the engine's receive loop
 // (one observe() per digest entry, tens of millions per run at n=1024)
 // and the topologies' per-round scans (target selection, digest
-// rotation). Per-peer state is struct-of-arrays, 40 bytes per
+// rotation). Per-peer state is struct-of-arrays, 18 bytes per
 // (observer, peer) pair under kFixed:
 //   - counters_ (4 bytes/peer): the freshest heartbeat counter. A seen
 //     counter > 0 implies the peer is known, so a stale entry - the
 //     majority - is decided by this one load in a 4KB-per-node array
 //     that stays cache-resident, touching nothing else;
-//   - hot_ (one 16-byte PeerHot per peer): the known / suspected /
-//     fresh / armed flag bits, the remaining piggyback budget, and the
-//     last-heartbeat timestamp that is the inlined fixed-timeout
-//     detector's entire state. The kFixed detector - the cluster
-//     default and the only per-(observer, victim)-pair allocation at
-//     scale - thus needs no heap object, no virtual dispatch, and no
-//     extra cache line on an advance. The scan loops and digest
-//     keep()-filters read only the flags byte of it;
+//   - meta_ (one 2-byte PeerMeta per peer): the known / suspected /
+//     fresh / armed / heard flag bits and the remaining piggyback
+//     budget. The scan loops, membership queries and digest
+//     keep()-filters read only this array, so they stride 2 bytes;
+//   - stamp_ (8 bytes/peer): one timestamp whose meaning the heard bit
+//     selects. Until the first counter advance it is known_since, the
+//     start of the bootstrap grace window; from then on it is the last
+//     heartbeat, the inlined fixed-timeout detector's entire state.
+//     Grace only covers unheard peers, so the two are never live at
+//     once. The kFixed detector - the cluster default and the only
+//     per-(observer, victim)-pair allocation at scale - thus needs no
+//     heap object and no virtual dispatch;
 //   - eval_tick_ (4 bytes/peer): the engine's suspicion-wheel tick (the
 //     engine bounds its check grid to 32 bits);
-//   - records_ (16 bytes/peer, cold): known_since and suspect
-//     bookkeeping - touched on state transitions, not per entry;
 //   - detectors_ (8 bytes/peer, kChen / kPhi only; empty under kFixed):
 //     the adaptive heap detector instances.
+// When a suspicion started is not node state: the engine keeps it for
+// the pairs whose victim is really down, the only ones its report
+// reads (see engine.cpp).
 // The hot-path queries and observe() are defined inline here so the
 // receive loop and the topology scans compile into flat array walks.
 // Detector state is created lazily on the first counter advance (a node
@@ -65,22 +70,13 @@ namespace rfd::cluster {
 
 using rt::NodeId;
 
-/// Cold per-peer state: touched on membership / suspicion transitions and
-/// by the engine's suspicion wheel, never per digest entry.
-struct PeerRecord {
-  double known_since = -1.0;
-  /// When the current suspicion started (engine bookkeeping; -1 = not
-  /// suspected). Written through ClusterNode::set_suspected.
-  double suspect_since = -1.0;
+/// Dense per-peer flag and budget slot; see the file header.
+struct PeerMeta {
+  std::uint8_t flags = 0;         // kKnown / kSuspected / kFresh / kArmed /
+                                  // kHeard
+  std::int8_t hot_remaining = 0;  // piggyback budget (> 0 <=> queued)
 };
-
-/// Dense per-peer hot state; see the file header.
-struct PeerHot {
-  double last_heartbeat = -1.0;  // inlined kFixed detector state
-  std::uint8_t flags = 0;        // kKnown / kSuspected / kFresh / kArmed
-  std::int8_t hot_remaining = 0; // piggyback budget (> 0 <=> queued)
-};
-static_assert(sizeof(PeerHot) == 16, "PeerHot must stay one 16-byte slot");
+static_assert(sizeof(PeerMeta) == 2, "PeerMeta must stay two bytes");
 
 /// What one digest entry did to the receiver's state; lets the engine do
 /// its wheel bookkeeping without re-querying the record.
@@ -123,9 +119,9 @@ class ClusterNode {
   bool learn_peer(NodeId peer, double now) {
     if (peer == id_ || peer < 0 || peer >= max_nodes_) return false;
     const std::size_t p = static_cast<std::size_t>(peer);
-    if ((hot_[p].flags & kKnownFlag) != 0) return false;
-    hot_[p].flags |= kKnownFlag;
-    records_[p].known_since = now;
+    if ((meta_[p].flags & kKnownFlag) != 0) return false;
+    meta_[p].flags |= kKnownFlag;
+    stamp_[p] = now;  // known_since: an unknown peer is never heard
     ++known_count_;
     ++membership_version_;
     return true;
@@ -145,20 +141,18 @@ class ClusterNode {
       // liveness evidence; see below for zero's membership role.)
       if (counter <= seen) return result;
       counters_[p] = static_cast<std::int32_t>(counter);
-      PeerHot& h = hot_[p];
-      h.flags |= kFreshFlag;
-      if (fixed_timeout_ms_ > 0.0) {
-        result.started_detector = h.last_heartbeat < 0.0;
-        h.last_heartbeat = now;
-      } else {
+      PeerMeta& m = meta_[p];
+      result.started_detector = (m.flags & kHeardFlag) == 0;
+      m.flags |= kFreshFlag | kHeardFlag;
+      stamp_[p] = now;  // last heartbeat from here on
+      if (fixed_timeout_ms_ <= 0.0) {
         std::unique_ptr<rt::PeerDetector>& detector = detectors_[p];
-        if (detector == nullptr) {
+        if (result.started_detector) {
           detector = rt::make_detector(params_.detector);
-          result.started_detector = true;
         }
         detector->on_heartbeat(now);
       }
-      enqueue_hot(h, p);
+      enqueue_hot(m, p);
       result.advanced = true;
       return result;
     }
@@ -178,9 +172,9 @@ class ClusterNode {
     // warm-up; a dead one never advances and falls to the bootstrap
     // grace window.
     counters_[p] = static_cast<std::int32_t>(counter);
-    PeerHot& h = hot_[p];
-    h.flags |= kFreshFlag;
-    enqueue_hot(h, p);
+    PeerMeta& m = meta_[p];
+    m.flags |= kFreshFlag;
+    enqueue_hot(m, p);
     return result;
   }
 
@@ -189,15 +183,15 @@ class ClusterNode {
   bool suspects(NodeId peer, double now) const {
     if (peer == id_ || peer < 0 || peer >= max_nodes_) return false;
     const std::size_t p = static_cast<std::size_t>(peer);
-    if ((hot_[p].flags & kKnownFlag) == 0) return false;
-    if (fixed_timeout_ms_ > 0.0) {
-      const double last = hot_[p].last_heartbeat;
-      if (last < 0.0) return grace_expired(p, now);
-      return now - last > fixed_timeout_ms_;
+    const std::uint8_t flags = meta_[p].flags;
+    if ((flags & kKnownFlag) == 0) return false;
+    if ((flags & kHeardFlag) == 0) {
+      // Known but never heard: allow the bootstrap grace window, measured
+      // from when this node learned the peer exists.
+      return now - stamp_[p] > params_.bootstrap_grace_ms;
     }
-    const rt::PeerDetector* detector = detectors_[p].get();
-    if (detector == nullptr) return grace_expired(p, now);
-    return detector->suspects(now);
+    if (fixed_timeout_ms_ > 0.0) return now - stamp_[p] > fixed_timeout_ms_;
+    return detectors_[p]->suspects(now);
   }
 
   /// Expiry deadline for `peer`: absent further counter advances,
@@ -209,17 +203,15 @@ class ClusterNode {
       return std::numeric_limits<double>::infinity();
     }
     const std::size_t p = static_cast<std::size_t>(peer);
-    if ((hot_[p].flags & kKnownFlag) == 0) {
+    const std::uint8_t flags = meta_[p].flags;
+    if ((flags & kKnownFlag) == 0) {
       return std::numeric_limits<double>::infinity();
     }
-    if (fixed_timeout_ms_ > 0.0) {
-      const double last = hot_[p].last_heartbeat;
-      if (last < 0.0) return grace_deadline(p);
-      return last + fixed_timeout_ms_;
+    if ((flags & kHeardFlag) == 0) {
+      return stamp_[p] + params_.bootstrap_grace_ms;
     }
-    const rt::PeerDetector* detector = detectors_[p].get();
-    if (detector == nullptr) return grace_deadline(p);
-    return detector->suspect_deadline();
+    if (fixed_timeout_ms_ > 0.0) return stamp_[p] + fixed_timeout_ms_;
+    return detectors_[p]->suspect_deadline();
   }
 
   /// Whether the detector's expiry deadline can only move forward on a
@@ -228,17 +220,17 @@ class ClusterNode {
   /// The engine uses this to skip re-arming already-armed pairs.
   bool deadline_monotone() const { return fixed_timeout_ms_ > 0.0; }
 
-  /// Updates the cached suspicion verdict (engine wheel only).
-  void set_suspected(NodeId peer, bool suspected, double since) {
-    const std::size_t p = static_cast<std::size_t>(peer);
-    records_[p].suspect_since = since;
-    const std::uint8_t before = hot_[p].flags;
+  /// Updates the cached suspicion verdict (set by the engine's and the
+  /// soak runner's evaluation only).
+  void set_suspected(NodeId peer, bool suspected) {
+    PeerMeta& m = meta_[static_cast<std::size_t>(peer)];
+    const std::uint8_t before = m.flags;
     if (suspected) {
-      hot_[p].flags = before | kSuspectedFlag;
+      m.flags = before | kSuspectedFlag;
     } else {
-      hot_[p].flags = before & static_cast<std::uint8_t>(~kSuspectedFlag);
+      m.flags = before & static_cast<std::uint8_t>(~kSuspectedFlag);
     }
-    if (hot_[p].flags != before) ++membership_version_;
+    if (m.flags != before) ++membership_version_;
   }
 
   /// Check-tick index at which the engine's suspicion wheel will next
@@ -253,26 +245,26 @@ class ClusterNode {
     const std::size_t p = static_cast<std::size_t>(peer);
     eval_tick_[p] = tick;
     if (tick >= 0) {
-      hot_[p].flags |= kArmedFlag;
+      meta_[p].flags |= kArmedFlag;
     } else {
-      hot_[p].flags &= static_cast<std::uint8_t>(~kArmedFlag);
+      meta_[p].flags &= static_cast<std::uint8_t>(~kArmedFlag);
     }
   }
 
   bool knows(NodeId peer) const {
     if (peer < 0 || peer >= max_nodes_) return false;
     if (peer == id_) return true;
-    return (hot_[static_cast<std::size_t>(peer)].flags & kKnownFlag) != 0;
+    return (meta_[static_cast<std::size_t>(peer)].flags & kKnownFlag) != 0;
   }
 
   /// Cached verdict from the engine's last evaluation of this pair.
   bool is_suspected(NodeId peer) const {
-    return (hot_[static_cast<std::size_t>(peer)].flags & kSuspectedFlag) !=
+    return (meta_[static_cast<std::size_t>(peer)].flags & kSuspectedFlag) !=
            0;
   }
 
   bool armed(NodeId peer) const {
-    return (hot_[static_cast<std::size_t>(peer)].flags & kArmedFlag) != 0;
+    return (meta_[static_cast<std::size_t>(peer)].flags & kArmedFlag) != 0;
   }
 
   /// known && !suspected-by-cached-state; self counts as alive. Used by
@@ -280,7 +272,7 @@ class ClusterNode {
   bool believes_alive(NodeId peer) const {
     if (peer == id_) return true;
     if (peer < 0 || peer >= max_nodes_) return false;
-    return (hot_[static_cast<std::size_t>(peer)].flags &
+    return (meta_[static_cast<std::size_t>(peer)].flags &
             (kKnownFlag | kSuspectedFlag)) == kKnownFlag;
   }
 
@@ -288,7 +280,7 @@ class ClusterNode {
   /// forwarding in digests; zero counters carry no liveness evidence).
   bool has_freshness(NodeId peer) const {
     if (peer < 0 || peer >= max_nodes_) return false;
-    return (hot_[static_cast<std::size_t>(peer)].flags & kFreshFlag) != 0;
+    return (meta_[static_cast<std::size_t>(peer)].flags & kFreshFlag) != 0;
   }
 
   /// Freshest heartbeat counter seen for `peer`.
@@ -300,13 +292,15 @@ class ClusterNode {
   /// topologies key their per-node target caches on it.
   std::int64_t membership_version() const { return membership_version_; }
 
-  /// Hints the prefetcher at `peer`'s hot slot; the engine issues this a
-  /// few digest entries ahead of observe() so the (random-index) slot is
-  /// in cache when the entry is processed. Semantically a no-op.
+  /// Hints the prefetcher at `peer`'s hot slots; the engine issues this a
+  /// few digest entries ahead of observe() so the (random-index) slots
+  /// are in cache when the entry is processed. Semantically a no-op.
   void prefetch_peer(NodeId peer) const {
     if (peer >= 0 && peer < max_nodes_) {
-      __builtin_prefetch(&counters_[static_cast<std::size_t>(peer)], 1, 1);
-      __builtin_prefetch(&hot_[static_cast<std::size_t>(peer)], 1, 1);
+      const std::size_t p = static_cast<std::size_t>(peer);
+      __builtin_prefetch(&counters_[p], 1, 1);
+      __builtin_prefetch(&meta_[p], 1, 1);
+      __builtin_prefetch(&stamp_[p], 1, 1);
     }
   }
 
@@ -321,43 +315,35 @@ class ClusterNode {
   void select_digest(int budget, Filter&& keep, std::vector<NodeId>& out) {
     if (budget <= 0 || known_count_ == 0) return;
     int appended = 0;
-    // Hot pass: drain queued advances front-to-back. Entries that must
+    // Hot pass: drain queued advances front to back. Entries that must
     // stay queued (kept with leftover budget, or filtered out by `keep`)
-    // are collected in the reusable survivor scratch and written back
-    // just below the scan point, which becomes the new queue head - the
-    // scanned prefix is compacted in place without ever copying the
-    // untouched tail down, so a send costs O(entries scanned), not
-    // O(queue length). The emitted sequence and the resulting queue
-    // content are identical to the old full-compaction pass.
-    const std::size_t queued = hot_queue_.size();
-    std::size_t read = hot_head_;
-    hot_scratch_.clear();
-    for (; read < queued && appended < budget; ++read) {
-      const NodeId candidate = hot_queue_[read];
-      PeerHot& h = hot_[static_cast<std::size_t>(candidate)];
-      if (h.hot_remaining <= 0) continue;  // expired while queued
+    // are compacted toward the head as the scan goes, then slid up
+    // against the unscanned tail, which they precede - so a send costs
+    // O(entries scanned), not O(queue length), and the queue keeps its
+    // FIFO order.
+    std::size_t read = 0;
+    std::size_t kept = 0;
+    for (; read < hot_size_ && appended < budget; ++read) {
+      const NodeId candidate = hot_ring_[ring_index(read)];
+      PeerMeta& m = meta_[static_cast<std::size_t>(candidate)];
       if (keep(candidate)) {
         out.push_back(candidate);
         ++appended;
-        --h.hot_remaining;
-        if (h.hot_remaining <= 0) continue;  // drained: drop from queue
+        --m.hot_remaining;
+        if (m.hot_remaining <= 0) continue;  // drained: drop from queue
       }
-      hot_scratch_.push_back(candidate);
+      hot_ring_[ring_index(kept++)] = candidate;
     }
-    hot_head_ = read - hot_scratch_.size();
-    std::copy(hot_scratch_.begin(), hot_scratch_.end(),
-              hot_queue_.begin() + static_cast<std::ptrdiff_t>(hot_head_));
-    if (hot_head_ == hot_queue_.size()) {
-      hot_queue_.clear();
-      hot_head_ = 0;
-    } else if (hot_head_ >= 1024 && hot_head_ * 2 >= hot_queue_.size()) {
-      // Amortized: reclaim the dead prefix once it dominates the vector.
-      hot_queue_.erase(hot_queue_.begin(),
-                       hot_queue_.begin() +
-                           static_cast<std::ptrdiff_t>(hot_head_));
-      hot_head_ = 0;
+    if (kept < read) {
+      // Copy from the last survivor down: the destination starts
+      // `read - kept` slots higher, past every source not yet copied.
+      for (std::size_t t = kept; t-- > 0;) {
+        hot_ring_[ring_index(read - kept + t)] = hot_ring_[ring_index(t)];
+      }
+      hot_head_ = ring_index(read - kept);
+      hot_size_ -= read - kept;
     }
-    // Rotation pass over the dense flags array (an id just taken from
+    // Rotation pass over the dense meta array (an id just taken from
     // the hot queue may repeat; the receiver treats the duplicate as a
     // no-op).
     for (int scanned = 0; scanned < max_nodes_ && appended < budget;
@@ -365,7 +351,7 @@ class ClusterNode {
       if (++digest_cursor_ >= max_nodes_) digest_cursor_ = 0;
       const NodeId candidate = static_cast<NodeId>(digest_cursor_);
       if (candidate == id_) continue;
-      if ((hot_[static_cast<std::size_t>(candidate)].flags & kKnownFlag) ==
+      if ((meta_[static_cast<std::size_t>(candidate)].flags & kKnownFlag) ==
           0) {
         continue;
       }
@@ -393,67 +379,62 @@ class ClusterNode {
   bool restore_state(const std::uint8_t* data, std::size_t size,
                      std::size_t& consumed);
 
-  const PeerRecord& record(NodeId peer) const {
-    return records_[static_cast<std::size_t>(peer)];
-  }
   int known_count() const { return known_count_; }
   /// Current hot-queue occupancy (ids with undrained piggyback budget);
   /// snapshotted by the observability layer as a dissemination-backlog
   /// gauge.
-  std::size_t hot_queue_depth() const {
-    return hot_queue_.size() - hot_head_;
-  }
+  std::size_t hot_queue_depth() const { return hot_size_; }
 
  private:
   static constexpr std::uint8_t kKnownFlag = 1;
   static constexpr std::uint8_t kSuspectedFlag = 2;
   static constexpr std::uint8_t kFreshFlag = 4;
   static constexpr std::uint8_t kArmedFlag = 8;
+  /// A counter advance has been observed: stamp_ holds the last
+  /// heartbeat (kFixed) and the adaptive detector exists (kChen / kPhi).
+  static constexpr std::uint8_t kHeardFlag = 16;
 
-  bool grace_expired(std::size_t p, double now) const {
-    // Known but never heard: allow the bootstrap grace window, measured
-    // from when this node learned the peer exists.
-    return now - records_[p].known_since > params_.bootstrap_grace_ms;
+  /// Ring slot of the hot-queue entry `offset` places past the head
+  /// (offset <= max_nodes_).
+  std::size_t ring_index(std::size_t offset) const {
+    const std::size_t slot = hot_head_ + offset;
+    return slot >= hot_ring_.size() ? slot - hot_ring_.size() : slot;
   }
-  double grace_deadline(std::size_t p) const {
-    return records_[p].known_since + params_.bootstrap_grace_ms;
-  }
-  void enqueue_hot(PeerHot& h, std::size_t p) {
-    if (h.hot_remaining <= 0) hot_queue_.push_back(static_cast<NodeId>(p));
-    h.hot_remaining = static_cast<std::int8_t>(params_.hot_transmissions);
+  void enqueue_hot(PeerMeta& m, std::size_t p) {
+    if (m.hot_remaining <= 0) {
+      RFD_REQUIRE(hot_size_ < hot_ring_.size());
+      hot_ring_[ring_index(hot_size_)] = static_cast<NodeId>(p);
+      ++hot_size_;
+    }
+    m.hot_remaining = static_cast<std::int8_t>(params_.hot_transmissions);
   }
 
   NodeId id_;
   int max_nodes_;
   NodeParams params_;
   /// The fixed-timeout fast path: > 0 iff params_.detector.kind ==
-  /// kFixed, in which case each peer's PeerHot::last_heartbeat is its
-  /// whole detector.
+  /// kFixed, in which case a heard peer's stamp_ is its whole detector.
   double fixed_timeout_ms_ = -1.0;
-  /// Dense per-peer hot state (see file header).
+  /// Dense per-peer state (see file header).
   std::vector<std::int32_t> counters_;
-  std::vector<PeerHot> hot_;
+  std::vector<PeerMeta> meta_;
+  std::vector<double> stamp_;
   std::vector<std::int32_t> eval_tick_;
-  std::vector<PeerRecord> records_;
   /// Adaptive (kChen / kPhi) detector per peer, created on the first
-  /// evidence-bearing advance. Empty for kFixed, whose detector is the
-  /// peer's PeerHot::last_heartbeat.
+  /// evidence-bearing advance. Empty for kFixed.
   std::vector<std::unique_ptr<rt::PeerDetector>> detectors_;
   std::int64_t membership_version_ = 0;
   bool active_ = true;
   std::int64_t own_counter_ = 0;
   int digest_cursor_ = 0;
   int known_count_ = 0;
-  /// Ids with recent counter advances, FIFO; deduplicated via
-  /// PeerHot::hot_remaining (> 0 <=> queued), so its occupancy never
-  /// exceeds max_nodes_. Live entries occupy [hot_head_, size());
-  /// select_digest consumes from hot_head_ and writes bounded survivor
-  /// runs back in place of the scanned prefix (see there).
-  std::vector<NodeId> hot_queue_;
+  /// Ids with recent counter advances, FIFO, in a fixed ring of
+  /// max_nodes_ slots holding hot_size_ entries from hot_head_ on.
+  /// Deduplicated via PeerMeta::hot_remaining (> 0 <=> queued), so the
+  /// ring never overflows.
+  std::vector<NodeId> hot_ring_;
   std::size_t hot_head_ = 0;
-  /// Reusable survivor scratch for select_digest (bounded by the entries
-  /// scanned per call).
-  std::vector<NodeId> hot_scratch_;
+  std::size_t hot_size_ = 0;
 };
 
 }  // namespace rfd::cluster

@@ -98,25 +98,32 @@ class GossipTopology final : public Topology {
 
   void targets(ClusterNode& node, Rng& rng,
                std::vector<NodeId>& out) override {
-    // The alive/doubtful candidate lists only change when the node's
-    // membership view does (a learn, a suspicion flip, a reset), which is
-    // rare next to the per-round pump; cache them keyed on the node's
-    // membership version instead of rescanning all peers every call.
+    // The candidate sets only change when the node's membership view
+    // does (a learn, a suspicion flip, a reset), which is rare next to
+    // the per-round pump; cache them keyed on the node's membership
+    // version instead of rescanning all peers every call. The alive set
+    // - nearly everyone - is held as its sorted complement, so the
+    // cache costs memory in proportion to the ids it excludes.
     const TargetCache& cache = refreshed(node);
-    const std::vector<NodeId>* candidates = &cache.alive;
+    const std::int64_t alive =
+        node.max_nodes() - static_cast<std::int64_t>(cache.excluded.size());
     // When everyone looks dead, sample from the doubtful instead - and
     // the resurrect extra below then has nothing left to draw from
     // (mirrors the pre-cache list swap, RNG draw for RNG draw).
-    const bool doubt_available =
-        !candidates->empty() && !cache.doubtful.empty();
-    if (candidates->empty()) candidates = &cache.doubtful;
-    const int fanout = params_.gossip_fanout;
+    const bool doubt_available = alive > 0 && !cache.doubtful.empty();
+    const bool from_doubtful = alive == 0;
     const std::int64_t count =
-        static_cast<std::int64_t>(candidates->size());
+        from_doubtful ? static_cast<std::int64_t>(cache.doubtful.size())
+                      : alive;
+    auto candidate = [&cache, from_doubtful](std::int64_t k) {
+      return from_doubtful ? cache.doubtful[static_cast<std::size_t>(k)]
+                           : kth_alive(cache, k);
+    };
+    const int fanout = params_.gossip_fanout;
     if (count <= fanout) {
-      out.insert(out.end(), candidates->begin(), candidates->end());
+      for (std::int64_t k = 0; k < count; ++k) out.push_back(candidate(k));
     } else {
-      sample_without_replacement(*candidates, fanout, rng, out);
+      sample_without_replacement(count, candidate, fanout, rng, out);
     }
     // Occasionally poke a peer believed dead: the only way a false
     // suspicion (e.g. the far side of a healed partition) can ever be
@@ -135,47 +142,65 @@ class GossipTopology final : public Topology {
   }
 
  private:
+  /// A node's candidate sets: alive = every id not in `excluded`
+  /// (self, unknown and suspected ids, ascending); doubtful = the known
+  /// suspected ids, ascending.
   struct TargetCache {
     std::int64_t version = -1;
-    std::vector<NodeId> alive;
+    std::vector<NodeId> excluded;
     std::vector<NodeId> doubtful;
   };
 
   const TargetCache& refreshed(const ClusterNode& node) {
     TargetCache& cache = cache_[static_cast<std::size_t>(node.id())];
     if (cache.version != node.membership_version()) {
-      cache.alive.clear();
+      cache.excluded.clear();
       cache.doubtful.clear();
       for (NodeId j = 0; j < node.max_nodes(); ++j) {
-        if (j == node.id() || !node.knows(j)) continue;
-        if (node.believes_alive(j)) {
-          cache.alive.push_back(j);
-        } else {
-          cache.doubtful.push_back(j);
-        }
+        if (j != node.id() && node.believes_alive(j)) continue;
+        cache.excluded.push_back(j);
+        if (j != node.id() && node.knows(j)) cache.doubtful.push_back(j);
       }
       cache.version = node.membership_version();
     }
     return cache;
   }
 
-  /// Partial Fisher-Yates over `pool` without mutating it: draws the
-  /// same rng.below sequence and emits the same ids as shuffling the
-  /// first `fanout` slots of a scratch copy, but tracks the (at most
-  /// `fanout`) displaced values in a small overlay instead of copying
-  /// the whole pool per call. Slot i is never read again once emitted
-  /// (later draws index >= i+1), so only the j-side displacement is
-  /// recorded.
-  void sample_without_replacement(const std::vector<NodeId>& pool,
+  /// The k-th (0-based) alive id in ascending order: k plus the number
+  /// of excluded ids below the answer. excluded[m] - m counts the alive
+  /// ids below excluded[m] and never decreases, so that number is the
+  /// count of m with excluded[m] - m <= k, found by binary search.
+  static NodeId kth_alive(const TargetCache& cache, std::int64_t k) {
+    const std::vector<NodeId>& excluded = cache.excluded;
+    std::size_t lo = 0;
+    std::size_t hi = excluded.size();
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (excluded[mid] - static_cast<std::int64_t>(mid) <= k) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return static_cast<NodeId>(k + static_cast<std::int64_t>(lo));
+  }
+
+  /// Partial Fisher-Yates over the `count`-element pool `pool_at(idx)`
+  /// without materializing it: draws the same rng.below sequence and
+  /// emits the same ids as shuffling the first `fanout` slots of a
+  /// scratch copy, but tracks the (at most `fanout`) displaced values in
+  /// a small overlay. Slot i is never read again once emitted (later
+  /// draws index >= i+1), so only the j-side displacement is recorded.
+  template <typename PoolAt>
+  void sample_without_replacement(std::int64_t count, PoolAt&& pool_at,
                                   int fanout, Rng& rng,
                                   std::vector<NodeId>& out) {
     overlay_.clear();
-    const std::int64_t count = static_cast<std::int64_t>(pool.size());
     auto value_at = [&](std::int64_t idx) {
       for (const Displaced& d : overlay_) {
         if (d.idx == idx) return d.val;
       }
-      return pool[static_cast<std::size_t>(idx)];
+      return pool_at(idx);
     };
     auto displace = [&](std::int64_t idx, NodeId val) {
       for (Displaced& d : overlay_) {

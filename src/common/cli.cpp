@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/assert.hpp"
@@ -15,16 +17,40 @@ Cli::Cli(int argc, const char* const* argv) {
       positional_.push_back(arg);
       continue;
     }
-    arg = arg.substr(2);
-    const auto eq = arg.find('=');
+    std::string name = arg.substr(2);
+    std::string value = "true";
+    const auto eq = name.find('=');
     if (eq != std::string::npos) {
-      flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      value = name.substr(eq + 1);
+      name.resize(eq);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags_[arg] = argv[++i];
-    } else {
-      flags_[arg] = "true";
+      value = argv[++i];
+    }
+    order_.push_back(name);
+    flags_[name] = value;
+  }
+}
+
+std::string Cli::first_unknown(const std::vector<std::string>& known) const {
+  for (const std::string& name : order_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
     }
   }
+  return "";
+}
+
+int check_flags(const Cli& cli, const std::vector<std::string>& known,
+                const char* usage) {
+  if (cli.has("help")) {
+    std::fputs(usage, stdout);
+    return 0;
+  }
+  const std::string unknown = cli.first_unknown(known);
+  if (unknown.empty()) return -1;
+  std::fprintf(stderr, "%s: unknown flag --%s (see --help)\n",
+               cli.program().c_str(), unknown.c_str());
+  return 2;
 }
 
 bool Cli::has(const std::string& name) const { return flags_.count(name) > 0; }

@@ -1,5 +1,7 @@
 // Tiny command-line flag parser for the example binaries and bench tables.
 // Supports --name=value and --name value, with typed accessors and defaults.
+// Binaries that gate CI call check_flags() so a mistyped flag is an error
+// rather than a silently ignored default.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +26,21 @@ class Cli {
 
   const std::string& program() const { return program_; }
 
+  /// The first flag, in command-line order, not named in `known`; empty
+  /// when every flag is known.
+  std::string first_unknown(const std::vector<std::string>& known) const;
+
  private:
   std::string program_;
   std::map<std::string, std::string> flags_;
+  std::vector<std::string> order_;  // flag names as given
   std::vector<std::string> positional_;
 };
+
+/// Strict flag gate for a binary: with --help, prints `usage` to stdout
+/// and returns 0; with a flag not in `known`, names it on stderr and
+/// returns 2; otherwise returns -1, meaning carry on.
+int check_flags(const Cli& cli, const std::vector<std::string>& known,
+                const char* usage);
 
 }  // namespace rfd

@@ -461,7 +461,7 @@ class SoakRunner {
         if (j == i || !node.knows(j)) continue;
         const bool verdict = node.suspects(j, now);
         if (verdict == node.is_suspected(j)) continue;
-        node.set_suspected(j, verdict, verdict ? now : -1.0);
+        node.set_suspected(j, verdict);
         const std::size_t pj = static_cast<std::size_t>(j);
         if (verdict) {
           ++raises_;

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "cluster/scenario.hpp"
+#include "common/bytes.hpp"
+#include "common/crc32.hpp"
 #include "common/shutdown.hpp"
 #include "transport/checkpoint.hpp"
 #include "transport/soak.hpp"
@@ -118,6 +120,32 @@ TEST(CheckpointFile, RejectsForeignFingerprint) {
       << error;
   // Fingerprint 0 = caller opts out of the check.
   EXPECT_TRUE(read_checkpoint(path, 0, out, error)) << error;
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, RejectsVersionOne) {
+  // Version 1 held the 40-byte-per-pair node layout; its payload cannot
+  // be read by the current node restore, so a v1 file is refused by its
+  // header, with an intact CRC, before any payload is parsed.
+  const std::string path = temp_path("v1");
+  std::vector<std::uint8_t> bytes;
+  ByteWriter w(bytes);
+  w.u32(0x43444652u);  // "RFDC"
+  w.u32(1);
+  w.u64(0x1122334455667788ull);
+  w.i64(10);
+  w.f64(1000.0);
+  w.u64(0);
+  w.u32(crc32(bytes.data(), bytes.size()));
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  CheckpointData out;
+  std::string error;
+  EXPECT_FALSE(read_checkpoint(path, 0, out, error));
+  EXPECT_NE(error.find("unsupported checkpoint version 1"), std::string::npos)
+      << error;
   std::remove(path.c_str());
 }
 

@@ -268,6 +268,15 @@ TEST(ClusterDeathTest, CheckGridBeyond32BitTicksIsRejected) {
   EXPECT_DEATH(run_cluster(config, 1), "32-bit check-tick range");
 }
 
+TEST(ClusterDeathTest, IdSpaceBeyond32BitPairKeysIsRejected) {
+  // Suspicion-wheel pair keys (i * max_nodes + j) are stored as 32 bits.
+  ClusterConfig config;
+  config.n = 2;
+  config.max_nodes = 65537;
+  config.shards = 1;
+  EXPECT_DEATH(run_cluster(config, 1), "32-bit pair-key range");
+}
+
 TEST(DigestCodec, RoundTripsWorstCaseVarints) {
   // Covers the raw-cursor encode fast path at the varint extremes that a
   // short simulation never reaches: multi-byte gaps, 32-bit maxima, and

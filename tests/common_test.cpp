@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/cli.hpp"
 #include "common/process_set.hpp"
 #include "common/rng.hpp"
 #include "common/serialization.hpp"
@@ -13,6 +16,30 @@
 
 namespace rfd {
 namespace {
+
+TEST(Cli, StrictGateRejectsUnknownFlags) {
+  // A typo must not silently fall back to a default: soak_main
+  // --bakcend=udp used to run the sim backend and exit 0.
+  const std::vector<std::string> known = {"backend", "scenario", "flaky"};
+  const char* typo[] = {"soak_main", "7", "--scenario", "a.scn",
+                        "--bakcend=udp", "--flaky"};
+  const Cli bad(6, typo);
+  EXPECT_EQ(bad.first_unknown(known), "bakcend");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(check_flags(bad, known, "usage\n"), 2);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("--bakcend"),
+            std::string::npos);
+
+  const char* good[] = {"soak_main", "7", "--backend", "udp", "--flaky"};
+  const Cli ok(5, good);
+  EXPECT_EQ(ok.first_unknown(known), "");
+  EXPECT_EQ(check_flags(ok, known, "usage\n"), -1);
+
+  const char* help[] = {"soak_main", "--help"};
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(check_flags(Cli(2, help), known, "usage: soak_main\n"), 0);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "usage: soak_main\n");
+}
 
 TEST(Rng, SameSeedSameStream) {
   Rng a(42), b(42);
